@@ -125,9 +125,20 @@ def measure_memory(fn) -> dict:
     }
 
 
-def _best_seconds(fn, repeats: int = 5, min_time: float = 0.02) -> float:
-    """Best-of-``repeats`` per-call seconds, inner loop calibrated to
-    ``min_time`` so the clock granularity never dominates."""
+def _per_call_seconds(fn, inner: int) -> float:
+    """Mean per-call seconds of ``inner`` back-to-back calls."""
+    t0 = time.perf_counter()
+    for _ in range(inner):
+        fn()
+    return (time.perf_counter() - t0) / inner
+
+
+def _calibrate(fn, min_time: float = 0.02) -> tuple[int, float]:
+    """Warm ``fn`` up and double the inner loop until one block of calls
+    takes ``min_time``, so the clock granularity never dominates.
+
+    Returns the inner count and the per-call seconds of the last block.
+    """
     fn()  # warm caches, JIT-able BLAS dispatch, page faults
     inner = 1
     while True:
@@ -136,14 +147,15 @@ def _best_seconds(fn, repeats: int = 5, min_time: float = 0.02) -> float:
             fn()
         dt = time.perf_counter() - t0
         if dt >= min_time or inner >= 1024:
-            break
+            return inner, dt / inner
         inner *= 2
-    best = dt / inner
+
+
+def _best_seconds(fn, repeats: int = 5, min_time: float = 0.02) -> float:
+    """Best-of-``repeats`` per-call seconds over calibrated blocks."""
+    inner, best = _calibrate(fn, min_time)
     for _ in range(repeats - 1):
-        t0 = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        best = min(best, (time.perf_counter() - t0) / inner)
+        best = min(best, _per_call_seconds(fn, inner))
     return best
 
 
@@ -191,6 +203,9 @@ def noop_tracer_overhead(
     This is the acceptance number for the observability layer: wrapping
     the kernel in ``RegionTimers.region`` with the default
     :class:`~repro.observability.tracer.NullTracer` must cost < 2 %.
+    Both legs run the same calibrated block size and are interleaved per
+    repeat, so slow drift of the host (thermal, background load) cannot
+    bias one leg.
     """
     sp = FunctionSpace(box_mesh(mesh), lx)
     u = np.random.default_rng(0).normal(size=sp.shape)
@@ -203,8 +218,12 @@ def noop_tracer_overhead(
         with timers.region("ax"):
             ax_helmholtz(u, sp.coef, sp.dx, 1.0, 10.0)
 
-    t_bare = _best_seconds(bare, repeats=repeats)
-    t_traced = _best_seconds(traced, repeats=repeats)
+    inner, _ = _calibrate(bare)
+    traced()  # the first entry creates the region's timer
+    t_bare = t_traced = float("inf")
+    for _ in range(max(repeats, 1)):
+        t_bare = min(t_bare, _per_call_seconds(bare, inner))
+        t_traced = min(t_traced, _per_call_seconds(traced, inner))
     return {
         "bare_seconds": t_bare,
         "traced_seconds": t_traced,

@@ -12,8 +12,6 @@ Through Unprecedented Spectral-Element Simulations" (SC '23):
 * ``repro.timeint`` / ``repro.core`` -- BDF/EXT time integration, the
   P_N-P_N splitting scheme, the Boussinesq scalar, case configuration and
   the simulation driver with Nusselt-number statistics.
-* ``repro.backend`` -- the device-abstraction layer (CPU backend plus an
-  instrumented backend feeding the GPU simulator).
 * ``repro.gpu`` -- a discrete-event GPU execution simulator (streams,
   launch latency, priorities) reproducing the Fig. 2 overlap study.
 * ``repro.comm`` -- an in-process MPI-rank simulator with two-phase
@@ -25,6 +23,14 @@ Through Unprecedented Spectral-Element Simulations" (SC '23):
   streaming POD.
 * ``repro.analysis`` -- Nu-Ra scaling fits, the ultimate-regime crossover
   analysis, energy spectra and boundary-layer diagnostics.
+* ``repro.observability`` -- trace spans, metrics, exporters, the
+  continuous profiler and the cross-run campaign ledger.
+* ``repro.resilience`` -- fault injection, the checkpoint ring,
+  rollback-and-retry and the seeded chaos campaign.
+* ``repro.statcheck`` -- domain-invariant static analysis and runtime
+  array contracts.
+* ``repro.verify`` -- manufactured solutions and convergence-order
+  studies.
 """
 
 __version__ = "1.0.0"
@@ -35,11 +41,14 @@ __all__ = [
     "precond",
     "timeint",
     "core",
-    "backend",
     "gpu",
     "comm",
     "perfmodel",
     "compression",
     "insitu",
     "analysis",
+    "observability",
+    "resilience",
+    "statcheck",
+    "verify",
 ]

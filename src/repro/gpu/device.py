@@ -21,9 +21,9 @@ class GpuModel:
     name:
         Marketing name.
     peak_bandwidth_gbs:
-        HBM bandwidth per logical GPU (Table 1: 1550 GB/s for A100-64GB
-        wait -- the paper lists per-GPU bandwidth; 1.55 TB/s A100, 1.6 TB/s
-        per MI250X GCD out of 3.3 TB/s per module).
+        HBM bandwidth per logical GPU, as listed in Table 1: 1550 GB/s for
+        the A100-64GB, and 1650 GB/s for one MI250X GCD (half of the
+        3300 GB/s per module).
     peak_fp64_tflops:
         Vector FP64 peak per logical GPU.
     launch_overhead_us:

@@ -66,10 +66,10 @@ PHASES: tuple[str, ...] = (
 #: telemetry layer (``fleet.gs.local``, ``fleet.cg.amul``); ``anomaly.``
 #: are the instant events of the online detectors; ``flight.`` marks the
 #: flight-recorder lifecycle (arm, dump, divergence).  The ``verify.``
-#: family wraps the verification subsystem's convergence studies and
-#: cross-backend checks (``verify.study``, ``verify.case``,
-#: ``verify.equivalence``).  The ``chaos.`` family wraps the chaos-testing
-#: harness's scenario runs (``chaos.campaign``, ``chaos.scenario``).
+#: family wraps the verification subsystem's convergence studies
+#: (``verify.study``, ``verify.case``).  The ``chaos.`` family wraps the
+#: chaos-testing harness's scenario runs (``chaos.campaign``,
+#: ``chaos.scenario``).
 #: The ``cache.`` family marks operator-cache lifecycle events
 #: (``cache.build``) and the ``autotune.`` family the startup kernel
 #: autotuner (``autotune.sweep``, ``autotune.variant``,

@@ -61,10 +61,6 @@ class FunctionSpace:
         """Mass-weighted L^2 norm (the paper's reconstruction-error metric)."""
         return float(np.sqrt(np.sum(u * u * self.coef.mass)))
 
-    def norm_max(self, u: np.ndarray) -> float:
-        """Pointwise maximum-magnitude norm (cross-backend divergence metric)."""
-        return float(np.max(np.abs(u)))
-
     def relative_l2_error(self, u: np.ndarray, exact: np.ndarray) -> float:
         """``||u - exact|| / ||exact||`` in the mass-weighted L^2 norm.
 

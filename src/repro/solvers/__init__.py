@@ -11,7 +11,6 @@ unchanged).
 
 from repro.solvers.monitor import SolverMonitor
 from repro.solvers.cg import ConjugateGradient
-from repro.solvers.pipecg import PipelinedConjugateGradient
 from repro.solvers.gmres import Gmres
 from repro.solvers.projection import MeanProjector
 from repro.solvers.solution_projection import SolutionProjection
@@ -19,7 +18,6 @@ from repro.solvers.solution_projection import SolutionProjection
 __all__ = [
     "SolverMonitor",
     "ConjugateGradient",
-    "PipelinedConjugateGradient",
     "Gmres",
     "MeanProjector",
     "SolutionProjection",

@@ -3,8 +3,8 @@
 Matches the paper's velocity/temperature configuration: CG with a (block-)
 Jacobi preconditioner.  The operator, preconditioner and inner product are
 injected as callables, mirroring Neko's abstract ``ax``/``pc``/``glsc3``
-interfaces, so the same solver runs on the plain CPU arrays, the
-instrumented backend and the distributed rank simulator.
+interfaces, so the same solver runs on the plain arrays of one space and
+on the distributed rank simulator.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Domain-invariant static analysis and runtime array contracts.
 
 Three cross-checking layers guard the invariants the paper's claims rest
-on (performance portability through the device layer, bitwise-reproducible
-DNS, a closed span taxonomy, a disciplined mixed-precision split):
+on (vectorised hot-loop array math, bitwise-reproducible DNS, a closed span
+taxonomy, a disciplined mixed-precision split):
 
 * the **linter** (``python -m repro.statcheck src/``) -- per-module AST
   rules with per-finding severities, inline ``# statcheck: ignore[RULE]``

@@ -1,19 +1,19 @@
-"""backend-purity: hot-loop array math must go through the device layer.
+"""backend-purity: hot-loop array math in the numerics packages is vectorised.
 
-The paper's portability claim (one solver, CPU/CUDA/HIP backends) maps to
-this codebase as the :mod:`repro.backend` device registry: kernels that
-run inside loops should be expressed against the backend so the same code
-drives the CPU path, the instrumented path and the simulated-GPU path.
-A raw ``np.*`` call inside a ``for``/``while`` loop in the numerics
-packages bypasses that layer -- it pins the inner loop to host NumPy and
-becomes invisible to the launch-record instrumentation that calibrates
-the performance model.
+The SEM kernels (``repro.sem``), the GPU execution model (``repro.gpu``)
+and the preconditioners (``repro.precond``) get their speed from whole-array
+NumPy calls over every element at once, the host analogue of one device
+kernel launch per operator.  A raw ``np.*`` call inside a ``for``/``while``
+loop in these packages is per-iteration array math: it runs once per
+element, level or block instead of once per operator, which is the shape
+the paper's device kernels avoid.  Such a loop must be vectorised.
 
 Vectorized ``np.*`` calls at *setup* time (mesh construction, operator
 factorization) are fine and common; only calls lexically inside loop
 bodies are flagged.  Pre-existing sites live in the committed baseline;
 genuinely setup-time loops should carry an explicit
-``# statcheck: ignore[backend-purity] -- reason``.
+``# statcheck: ignore[backend-purity] -- reason``.  The rule keeps its
+historical name because those inline ignores refer to it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class BackendPurityRule(Rule):
     severity = Severity.WARNING
     description = (
         "np.* array math inside for/while loops in repro.sem / repro.gpu / "
-        "repro.precond must route through the backend registry (repro.backend)"
+        "repro.precond is hot-loop math that must be vectorised"
     )
 
     def applies(self, ctx: ModuleContext) -> bool:
@@ -62,7 +62,6 @@ class BackendPurityRule(Rule):
             yield ctx.finding(
                 self,
                 node,
-                f"`{chain}()` inside a loop: route hot-loop array math through "
-                f"the backend registry (repro.backend), or mark the loop as "
-                f"setup-time with an explicit ignore",
+                f"`{chain}()` inside a loop: vectorise this hot-loop array "
+                f"math, or mark the loop as setup-time with an explicit ignore",
             )

@@ -12,9 +12,6 @@ rates on problems with known closed-form solutions.  This package provides
 * :mod:`repro.verify.convergence` -- a study runner that sweeps polynomial
   order (p-refinement), element count (h-refinement) or time step and fits
   the observed convergence rate against the theoretical one;
-* :mod:`repro.verify.equivalence` -- a cross-backend checker that runs the
-  same operator/solver chain on every registered backend and bounds the
-  maximum pointwise divergence;
 * ``python -m repro.verify`` -- a CLI emitting a JSON + text-table report,
   consumed by the CI ``verify`` job.
 
@@ -31,7 +28,6 @@ from repro.verify.convergence import (
     fit_algebraic_order,
     fit_exponential_rate,
 )
-from repro.verify.equivalence import EquivalenceResult, cross_backend_check
 from repro.verify.manufactured import (
     BoussinesqMMS,
     ScalarAdvectionDiffusionMMS,
@@ -46,8 +42,6 @@ __all__ = [
     "StudyResult",
     "fit_algebraic_order",
     "fit_exponential_rate",
-    "EquivalenceResult",
-    "cross_backend_check",
     "SteadyMMS",
     "ScalarAdvectionDiffusionMMS",
     "BoussinesqMMS",

@@ -1,9 +1,9 @@
 """Verification report: JSON artifact + human-readable table.
 
 The CLI (``python -m repro.verify``) aggregates every convergence study
-and equivalence check into one :class:`VerificationReport`.  CI uploads
-the JSON as an artifact (so a failed run carries its full evidence) and
-prints the table; the exit code is the single-bit summary.
+into one :class:`VerificationReport`.  CI uploads the JSON as an artifact
+(so a failed run carries its full evidence) and prints the table; the exit
+code is the single-bit summary.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.verify.convergence import StudyResult
-from repro.verify.equivalence import EquivalenceResult
 
 __all__ = ["VerificationReport"]
 
@@ -23,20 +22,16 @@ class VerificationReport:
     """All verification outcomes of one run."""
 
     studies: list[StudyResult] = field(default_factory=list)
-    equivalence: list[EquivalenceResult] = field(default_factory=list)
     extra: dict[str, Any] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
-        return all(s.passed for s in self.studies) and all(
-            e.passed for e in self.equivalence
-        )
+        return all(s.passed for s in self.studies)
 
     def as_record(self) -> dict[str, Any]:
         return {
             "passed": self.passed,
             "studies": [s.as_record() for s in self.studies],
-            "equivalence": [e.as_record() for e in self.equivalence],
             **({"extra": self.extra} if self.extra else {}),
         }
 
@@ -44,7 +39,7 @@ class VerificationReport:
         return json.dumps(self.as_record(), indent=indent, sort_keys=False)
 
     def text_table(self) -> str:
-        """Fixed-width summary table of every study and equivalence chain."""
+        """Fixed-width summary table of every study."""
         lines: list[str] = []
         if self.studies:
             lines.append("convergence studies")
@@ -56,17 +51,6 @@ class VerificationReport:
                 lines.append(
                     f"  {s.name:<38} {s.kind:<4} {s.observed_rate:>9.3f} "
                     f"{s.expected_rate:>9.3f}  {verdict}"
-                )
-        if self.equivalence:
-            lines.append("cross-backend equivalence")
-            lines.append(
-                f"  {'chain':<38} {'max |diff|':>12} {'tolerance':>10}  verdict"
-            )
-            for e in self.equivalence:
-                verdict = "PASS" if e.passed else "FAIL"
-                lines.append(
-                    f"  {e.chain:<38} {e.max_divergence:>12.3e} "
-                    f"{e.tolerance:>10.1e}  {verdict}"
                 )
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)

@@ -1,13 +1,9 @@
-"""Tests for pipelined CG and the solution-projection space."""
+"""Tests for the solution-projection space."""
 
 import numpy as np
 import pytest
 
-from repro.solvers import (
-    ConjugateGradient,
-    PipelinedConjugateGradient,
-    SolutionProjection,
-)
+from repro.solvers import ConjugateGradient, SolutionProjection
 
 
 def dense_dot(a, b):
@@ -19,89 +15,6 @@ def make_spd(n, seed=0, cond=100.0):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     lam = np.geomspace(1.0, cond, n)
     return q @ np.diag(lam) @ q.T
-
-
-class TestPipelinedCG:
-    def test_identity(self):
-        pcg = PipelinedConjugateGradient(lambda u: u.copy(), dense_dot)
-        x, mon = pcg.solve(np.ones(7))
-        assert np.allclose(x, 1.0)
-        assert mon.converged
-
-    def test_matches_classic_cg(self):
-        # At moderate tolerance the pipelined recurrences track classic CG
-        # iteration-for-iteration; at very tight tolerances rounding drift
-        # costs pipelined CG extra iterations (the documented trade-off).
-        a = make_spd(50, seed=1)
-        b = np.arange(50, dtype=float)
-        cg = ConjugateGradient(lambda u: a @ u, dense_dot, tol=1e-8, maxiter=300)
-        pcg = PipelinedConjugateGradient(lambda u: a @ u, dense_dot, tol=1e-8, maxiter=300)
-        x1, m1 = cg.solve(b)
-        x2, m2 = pcg.solve(b)
-        assert m2.converged
-        assert np.allclose(x1, x2, atol=1e-5)
-        # Rounding drift costs pipelined CG a handful of extra iterations.
-        assert abs(m1.iterations - m2.iterations) <= 12
-
-    def test_tight_tolerance_still_converges(self):
-        # Residual replacement lets pipelined CG reach tight tolerances,
-        # if with some extra iterations.
-        a = make_spd(50, seed=1)
-        b = np.arange(50, dtype=float)
-        pcg = PipelinedConjugateGradient(lambda u: a @ u, dense_dot, tol=1e-12, maxiter=400)
-        x, mon = pcg.solve(b)
-        assert mon.converged
-        assert np.linalg.norm(a @ x - b) < 1e-9 * np.linalg.norm(b)
-
-    def test_preconditioned(self):
-        a = make_spd(40, seed=2, cond=1e4)
-        s = np.diag(np.geomspace(1.0, 50.0, 40))
-        a = s @ a @ s
-        inv_diag = 1.0 / np.diag(a)
-        b = np.ones(40)
-        pcg = PipelinedConjugateGradient(
-            lambda u: a @ u, dense_dot, precond=lambda r: inv_diag * r,
-            tol=1e-10, maxiter=500,
-        )
-        x, mon = pcg.solve(b)
-        assert mon.converged
-        assert np.allclose(a @ x, b, atol=1e-5 * np.linalg.norm(b))
-
-    def test_initial_guess(self):
-        a = make_spd(20, seed=3)
-        xe = np.linspace(0, 1, 20)
-        b = a @ xe
-        pcg = PipelinedConjugateGradient(lambda u: a @ u, dense_dot, tol=1e-12)
-        x, mon = pcg.solve(b, x0=xe * 1.001)
-        assert np.allclose(x, xe, atol=1e-8)
-
-    def test_single_fused_reduction_per_iteration(self):
-        pcg = PipelinedConjugateGradient(lambda u: u.copy(), dense_dot)
-        assert pcg.reductions_per_iteration == 1
-
-    def test_on_sem_helmholtz(self):
-        from repro.precond import JacobiPrecond
-        from repro.sem.bc import DirichletBC
-        from repro.sem.mesh import box_mesh
-        from repro.sem.operators import ax_helmholtz
-        from repro.sem.space import FunctionSpace
-
-        sp = FunctionSpace(box_mesh((2, 2, 2)), 5)
-        bc = DirichletBC(sp, ["bottom", "top", "x-", "x+", "y-", "y+"], 0.0)
-        h1, h2 = 0.01, 50.0
-
-        def amul(u):
-            return sp.gs.add(ax_helmholtz(u, sp.coef, sp.dx, h1, h2)) * bc.mask
-
-        rng = np.random.default_rng(4)
-        b = sp.gs.add(sp.coef.mass * rng.normal(size=sp.shape)) * bc.mask
-        pc = JacobiPrecond(sp, h1, h2, mask=bc.mask)
-        cg = ConjugateGradient(amul, sp.gs.dot, precond=pc, tol=1e-10)
-        pcg = PipelinedConjugateGradient(amul, sp.gs.dot, precond=pc, tol=1e-10)
-        x1, m1 = cg.solve(b)
-        x2, m2 = pcg.solve(b)
-        assert m2.converged
-        assert np.allclose(x1, x2, atol=1e-7 * np.abs(x1).max())
 
 
 class TestSolutionProjection:
