@@ -102,8 +102,15 @@ class FluidScheme:
         )
         self._pressure_project = MeanProjector.counting(space.gs)
 
+        # The amul closures write into a workspace buffer of their own: the
+        # returned array is valid only until the closure's next call (the
+        # Krylov solvers consume it within the iteration, and
+        # SolutionProjection copies what it keeps).
+        p_out = space.workspace.get("amul.pressure", space.shape)
+
         def p_amul(u: np.ndarray) -> np.ndarray:
-            return space.gs.add(ax_poisson(u, space.coef, space.dx))
+            w = ax_poisson(u, space.coef, space.dx, out=p_out)
+            return space.gs.add(w, out=w)
 
         self.pressure_solver = Gmres(
             p_amul,
@@ -141,9 +148,13 @@ class FluidScheme:
         nu = self.nu
         mask = self.vel_mask
 
+        out = space.workspace.get("amul.velocity", space.shape)
+
         def amul(u: np.ndarray) -> np.ndarray:
-            w = space.gs.add(ax_helmholtz(u, space.coef, space.dx, nu, h2))
-            return w * mask
+            w = ax_helmholtz(u, space.coef, space.dx, nu, h2, out=out)
+            space.gs.add(w, out=w)
+            w *= mask
+            return w
 
         return amul
 

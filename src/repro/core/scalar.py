@@ -97,9 +97,12 @@ class ScalarScheme:
         self.scheme.jump_start()
 
     def _amul_full(self, u: np.ndarray, h2: float) -> np.ndarray:
-        return self.space.gs.add(
-            ax_helmholtz(u, self.space.coef, self.space.dx, self.kappa, h2)
-        )
+        """Assembled, unmasked Helmholtz action into the ``amul.temperature``
+        workspace buffer: valid only until the next call."""
+        space = self.space
+        out = space.workspace.get("amul.temperature", space.shape)
+        ax_helmholtz(u, space.coef, space.dx, self.kappa, h2, out=out)
+        return space.gs.add(out, out=out)
 
     def set_dt(self, dt: float) -> None:
         """Change the step size (adaptive stepping); operators refresh lazily."""
@@ -117,7 +120,9 @@ class ScalarScheme:
             self._precond.update(self.kappa, h2)
 
         def amul(u: np.ndarray) -> np.ndarray:
-            return self._amul_full(u, h2) * self.mask
+            w = self._amul_full(u, h2)
+            w *= self.mask
+            return w
 
         self._solver = ConjugateGradient(
             amul,

@@ -32,7 +32,7 @@ import scipy.sparse.linalg
 
 from repro.precond.cache import CacheKey, OperatorCache, mask_fingerprint, resolve_cache
 from repro.sem.basis import lagrange_interpolation_matrix
-from repro.sem.dealias import interp3, interp3_transpose
+from repro.sem.dealias import interp3_into
 from repro.sem.quadrature import gll_points_weights
 from repro.sem.space import FunctionSpace
 from repro.solvers.cg import ConjugateGradient
@@ -140,6 +140,7 @@ class CoarseGridSolver:
         fine_pts, _ = gll_points_weights(fine_space.lx)
         # Prolongation J: Q1 nodal values -> degree-N nodal values.
         self.j_c2f = lagrange_interpolation_matrix(np.asarray(fine_pts), 2)
+        self._j_f2c = self.j_c2f.T.copy()
 
         gs = self.coarse.gs
         self.n_vertices = gs.n_global
@@ -235,7 +236,9 @@ class CoarseGridSolver:
 
     def restrict(self, r_fine: np.ndarray) -> np.ndarray:
         """Dual restriction ``R0 r`` onto unique vertex dofs."""
-        rc = interp3_transpose(r_fine, self.j_c2f)
+        rc = interp3_into(
+            r_fine, self._j_f2c, np.empty((r_fine.shape[0], 2, 2, 2)), self.fine.workspace
+        )
         # Dual vectors assemble by summation over duplicates.  The fine
         # residual is duplicated-consistent (already dssum-ed), so each
         # unique fine dof contributes once per element it belongs to -- undo
@@ -247,7 +250,7 @@ class CoarseGridSolver:
     def prolong(self, u_vertex: np.ndarray) -> np.ndarray:
         """Prolongation ``R0^T u``: embed the Q1 solution in the fine space."""
         uc = self.coarse.gs.scatter_unique(u_vertex)
-        return interp3(uc, self.j_c2f)
+        return interp3_into(uc, self.j_c2f, np.empty(self.fine.shape), self.fine.workspace)
 
     def _project(self, u: np.ndarray) -> None:
         u -= u.mean() if self._all_free else u[self._free].mean()
@@ -260,7 +263,8 @@ class CoarseGridSolver:
         dual bookkeeping.  To keep the operation linear-consistent with the
         duplicated storage, the input is first de-duplicated.
         """
-        r = r_fine * self._inv_mult
+        r = self.fine.workspace.get("precond.r", r_fine.shape)
+        np.multiply(r_fine, self._inv_mult, out=r)
         rc = self.restrict(r)
         if self.singular:
             self._project(rc)

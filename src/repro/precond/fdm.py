@@ -211,20 +211,40 @@ class FastDiagonalization:
             inv_d3.astype(dtype, copy=True),
         )
 
-    def _tensor_apply(self, u: np.ndarray, m: np.ndarray) -> np.ndarray:
-        nelv, lz, ly, lx = u.shape
-        v = u @ m.T
-        v = np.matmul(m, v)
-        v = np.matmul(m, v.reshape(nelv, lz, ly * lx)).reshape(u.shape)
-        return v
+    def solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Apply the batched local inverse to an elementwise residual.
 
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        """Apply the batched local inverse to an elementwise residual."""
-        r = r.astype(self.dtype, copy=False)
-        v = self._tensor_apply(r, self.st)
-        v *= self.inv_d3
-        v = self._tensor_apply(v, self.s)
-        return v.astype(np.float64, copy=False)
+        ``u = S (S^T r / D3)`` as two tensor sweeps of three batched
+        ``matmul`` each, ping-ponging between the ``fdm.a``/``fdm.b``
+        buffers of the space's workspace in the solve precision.  The
+        float64 result goes to ``out`` (C-contiguous; may be ``r`` itself,
+        which is read only by the first sweep) or to a new array.
+        """
+        ws = self.space.workspace
+        shape, dtype = r.shape, self.dtype
+        nelv, lz, ly, lx = shape
+        flat = (nelv, lz, ly * lx)
+        a = ws.get("fdm.a", shape, dtype)
+        b = ws.get("fdm.b", shape, dtype)
+        if out is None:
+            out = np.empty(shape)
+        if r.dtype != dtype:
+            np.copyto(b, r, casting="same_kind")
+            r = b
+        # The r sweeps (``r @ st.T``, ``a @ s.T``) run as one
+        # (nelv*lz*ly, lx) BLAS product each; ``st.T`` is ``s`` and vice
+        # versa, both already C-contiguous.
+        np.matmul(r.reshape(-1, lx), self.s, out=a.reshape(-1, lx))
+        np.matmul(self.st, a, out=b)
+        np.matmul(self.st, b.reshape(flat), out=a.reshape(flat))
+        a *= self.inv_d3
+        np.matmul(a.reshape(-1, lx), self.st, out=b.reshape(-1, lx))
+        np.matmul(self.s, b, out=a)
+        last = out if dtype == out.dtype else b
+        np.matmul(self.s, a.reshape(flat), out=last.reshape(flat))
+        if last is not out:
+            np.copyto(out, last)
+        return out
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """Preconditioner interface: local solves + counting-weighted average.

@@ -233,7 +233,8 @@ class HybridSchwarzMultigrid:
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """Serial composition ``z = coarse_part(r) + schwarz_part(r)``."""
         zc, zs = self.apply_parts(r)
-        z = zc + zs
+        z = zs
+        z += zc  # zs is the smoother's new array: sum in place
         if self.mask is not None:
             z *= self.mask
         return z

@@ -190,9 +190,9 @@ class SchwarzSmoother:
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """Apply the smoother to an (assembled) residual."""
-        if self.mask is not None:
-            r = r * self.mask
         if self.overlap:
+            if self.mask is not None:
+                r = r * self.mask
             re = self._extended_residual(r)
             ze = self.fdm.solve(re)
             z = ze[:, 1:-1, 1:-1, 1:-1].copy()
@@ -201,9 +201,17 @@ class SchwarzSmoother:
             z = self.space.gs.add(z)
             z *= self._post
         else:
-            z = self.fdm.solve(self._sqrt_weight * r)
-            z *= self._sqrt_weight
-            z = self.space.gs.add(z)
+            # Weight, local solves and weight again in one workspace buffer;
+            # the gather--scatter writes the (new) result.
+            wr = self.space.workspace.get("precond.r", r.shape)
+            if self.mask is not None:
+                np.multiply(r, self.mask, out=wr)
+                np.multiply(self._sqrt_weight, wr, out=wr)
+            else:
+                np.multiply(self._sqrt_weight, r, out=wr)
+            zl = self.fdm.solve(wr, out=wr)
+            zl *= self._sqrt_weight
+            z = self.space.gs.add(zl)
         if self.mask is not None:
             z *= self.mask
         if self.damping != 1.0:

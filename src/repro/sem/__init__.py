@@ -2,9 +2,10 @@
 
 This package implements the discretization layer of the framework: GLL
 quadrature and polynomial bases, hexahedral meshes (box and butterfly
-cylinder), the SEM function space with geometric factors, the two-phase
-gather--scatter operation, matrix-free tensor-product operators, 3/2-rule
-dealiasing, and boundary-condition masks.
+cylinder), the SEM function space with geometric factors and its kernel
+scratch workspace, the two-phase gather--scatter operation, matrix-free
+tensor-product operators, 3/2-rule dealiasing, and boundary-condition
+masks.
 
 The layout of all field data is ``(nelv, lx, lx, lx)`` with the *last* axis
 the fastest-varying (r) direction, matching the memory layout used by
@@ -20,6 +21,7 @@ from repro.sem.basis import (
 )
 from repro.sem.mesh import HexMesh, box_mesh, cylinder_mesh
 from repro.sem.space import FunctionSpace
+from repro.sem.workspace import Workspace
 from repro.sem.field import Field
 from repro.sem.coef import Coefficients
 from repro.sem.gather_scatter import GatherScatter
@@ -47,6 +49,7 @@ __all__ = [
     "box_mesh",
     "cylinder_mesh",
     "FunctionSpace",
+    "Workspace",
     "Field",
     "Coefficients",
     "GatherScatter",

@@ -14,9 +14,11 @@ code keeps resident on the device for the whole run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.sem.workspace import Workspace
 
 __all__ = [
     "Coefficients",
@@ -72,13 +74,21 @@ def _tensor_derivatives_axis(
 def tensor_derivatives_stacked(u: np.ndarray, dx: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Reference-space derivatives written into a stacked ``(3, *u.shape)`` buffer.
 
-    Same contractions as the ``"batched"`` variant of
-    :func:`tensor_derivatives` but with ``out=`` targets, so the result
-    lands directly in the layout the fused geometric-factor contraction
-    of ``ax_poisson``/``ax_helmholtz`` consumes -- no staging copies.
+    Same contractions as :func:`tensor_derivatives` (either variant) but
+    with ``out=`` targets, so the result lands directly in the layout the
+    fused geometric-factor contraction of ``ax_poisson``/``ax_helmholtz``
+    and the dealiased gradient consume -- no staging copies.
     """
+    if _contraction_variant == "axis":
+        np.einsum("il,ekjl->ekji", dx, u, out=out[0])
+        np.einsum("jl,ekli->ekji", dx, u, out=out[1])
+        np.einsum("kl,elji->ekji", dx, u, out=out[2])
+        return out
     nelv, lz, ly, lx = u.shape
-    np.matmul(u, dx.T, out=out[0])
+    # The r sweep as one (nelv*lz*ly, lx) x (lx, lx) product: a single
+    # BLAS call instead of one per (element, t-row); the same per-entry
+    # dot products as ``u @ dx.T``.
+    np.matmul(u.reshape(-1, lx), np.ascontiguousarray(dx.T), out=out[0].reshape(-1, lx))
     np.matmul(dx, u, out=out[1])
     np.matmul(dx, u.reshape(nelv, lz, ly * lx), out=out[2].reshape(nelv, lz, ly * lx))
     return out
@@ -137,6 +147,9 @@ class Coefficients:
     volume: float
     # Lazily built stacked view of the symmetric G tensor (see g_stack()).
     _g_stack: np.ndarray | None = None
+    # Scratch buffers of the kernels that contract against these factors
+    # (see repro.sem.workspace); FunctionSpace exposes it as ``workspace``.
+    workspace: Workspace = field(default_factory=Workspace, repr=False, compare=False)
 
     def g_stack(self) -> np.ndarray:
         """Symmetric geometric factors as one ``(3, 3, npts)`` array.

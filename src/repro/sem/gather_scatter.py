@@ -21,6 +21,8 @@ from time import perf_counter
 
 import numpy as np
 
+from repro.sem.workspace import Workspace
+
 __all__ = ["GatherScatter", "build_global_numbering"]
 
 
@@ -72,7 +74,8 @@ class GatherScatter:
     """Gather--scatter operator for a fixed global numbering.
 
     Construct once per function space; apply with :meth:`add` (dssum),
-    :meth:`min`, :meth:`max`, or :meth:`average`.
+    :meth:`min`, :meth:`max`, or :meth:`average`.  ``workspace`` holds the
+    scratch of :meth:`dot` (the owning space passes its own).
     """
 
     def __init__(
@@ -81,8 +84,10 @@ class GatherScatter:
         shape: tuple[int, ...],
         periodic_image: Callable[[np.ndarray], np.ndarray] | None = None,
         tol: float | None = None,
+        workspace: Workspace | None = None,
     ) -> None:
         self.shape = tuple(shape)
+        self.workspace = workspace if workspace is not None else Workspace()
         self.global_ids, self.n_global = build_global_numbering(coords, periodic_image, tol)
         if self.global_ids.shape[0] != int(np.prod(self.shape)):
             raise ValueError(
@@ -107,13 +112,20 @@ class GatherScatter:
     # -- core operations ---------------------------------------------------
 
     def add(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Direct-stiffness summation: sum duplicated dofs, redistribute."""
+        """Direct-stiffness summation: sum duplicated dofs, redistribute.
+
+        ``out`` (C-contiguous, may be ``u`` itself) receives the result;
+        the scatter writes straight into it, so the only temporary is the
+        per-unique-dof accumulator.
+        """
         t0 = perf_counter()
         flat = u.reshape(-1)
         acc = np.bincount(self.global_ids, weights=flat, minlength=self.n_global)
         if out is None:
             out = np.empty_like(u)
-        out.reshape(-1)[:] = acc[self.global_ids]
+        # mode="clip" never triggers (the ids are in range) but, unlike the
+        # default "raise", lets take() write into ``out`` unbuffered.
+        np.take(acc, self.global_ids, out=out.reshape(-1), mode="clip")
         self.calls += 1
         self.bytes_moved += 2 * u.nbytes
         self.seconds += perf_counter() - t0
@@ -172,7 +184,9 @@ class GatherScatter:
         Gram--Schmidt hot path (thousands of calls per step).
         """
         self.dot_calls += 1
-        return float(np.dot((u * self._inv_multiplicity).reshape(-1), v.reshape(-1)))
+        wu = self.workspace.get("gs.dot", u.shape)
+        np.multiply(u, self._inv_multiplicity, out=wu)
+        return float(np.dot(wu.reshape(-1), v.reshape(-1)))
 
     @property
     def inv_multiplicity(self) -> np.ndarray:

@@ -54,10 +54,31 @@ def local_grad_transpose(
         out += np.einsum("lj,ekli->ekji", dx, ws)
         out += np.einsum("lk,elji->ekji", dx, wt)
         return out
+    dtype = np.result_type(wr, dx)
+    return _local_grad_transpose_into(
+        wr, ws, wt, dx, np.empty(wr.shape, dtype), np.empty(wr.shape, dtype)
+    )
+
+
+def _local_grad_transpose_into(
+    wr: np.ndarray,
+    ws: np.ndarray,
+    wt: np.ndarray,
+    dx: np.ndarray,
+    out: np.ndarray,
+    tmp: np.ndarray,
+) -> np.ndarray:
+    """Batched :func:`local_grad_transpose` into ``out``; ``tmp`` is scratch.
+
+    ``out`` and ``tmp`` are C-contiguous fields that overlap none of the
+    inputs (``matmul`` would otherwise stage a copy).
+    """
     nelv, lz, ly, lx = wr.shape
-    out = wr @ dx
-    out += np.matmul(dx.T, ws)
-    out += np.matmul(dx.T, wt.reshape(nelv, lz, ly * lx)).reshape(wr.shape)
+    np.matmul(wr.reshape(-1, lx), dx, out=out.reshape(-1, lx))  # one BLAS call
+    np.matmul(dx.T, ws, out=tmp)
+    out += tmp
+    np.matmul(dx.T, wt.reshape(nelv, lz, ly * lx), out=tmp.reshape(nelv, lz, ly * lx))
+    out += tmp
     return out
 
 
@@ -72,8 +93,33 @@ def physical_grad(
     return dudx, dudy, dudz
 
 
+def _ax_batched(
+    u: np.ndarray, coef: Coefficients, dx: np.ndarray, h1: float | np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shared batched core of the ``Ax`` kernels, on ``coef.workspace``.
+
+    Returns ``(w, scratch)``: the three ``h1``-scaled contracted
+    directions ``G . grad u`` (stacked ``(3, *u.shape)``) and one free
+    scratch field.  Both are workspace buffers, valid until the next
+    ``Ax`` call on the space.
+    """
+    ws = coef.workspace
+    # Derivatives land in a stacked buffer and the G contraction runs as
+    # a single fused einsum pass into a second one.
+    du = ws.get("du", (3,) + u.shape)
+    tensor_derivatives_stacked(u, dx, du)
+    w = ws.get("w", du.shape)
+    np.einsum("abn,bn->an", coef.g_stack(), du.reshape(3, u.size), out=w.reshape(3, u.size))
+    if h1 is not None:
+        w *= h1  # scalar or pointwise (nelv, lx, lx, lx): broadcasts over rows
+    # du is dead after the contraction; its first row is the scratch field.
+    return w, du[0]
+
+
 @contract(u=FIELD, dx=OPERATOR_1D, returns=FIELD)
-def ax_poisson(u: np.ndarray, coef: Coefficients, dx: np.ndarray) -> np.ndarray:
+def ax_poisson(
+    u: np.ndarray, coef: Coefficients, dx: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Local action of the stiffness matrix: ``w = A u`` (unassembled).
 
     The weak Laplacian ``(grad v, grad u)`` evaluated with the geometric
@@ -81,24 +127,23 @@ def ax_poisson(u: np.ndarray, coef: Coefficients, dx: np.ndarray) -> np.ndarray:
     derivatives.  ~`6 lx` flops per point over `7` resident arrays -- the
     bandwidth-bound profile the roofline model in ``repro.perfmodel``
     assumes.
+
+    The result goes to ``out`` (a C-contiguous field not aliasing ``u``)
+    or to a new array; all intermediates live in ``coef.workspace``.
     """
     # The batched fast path needs the stacked geometric factors; duck-typed
     # coef stand-ins (e.g. per-rank chunks in the distributed layer) that
     # only carry g11..g33 take the per-axis form regardless of the variant.
-    g_stack = getattr(coef, "g_stack", None)
-    if get_contraction_variant() == "axis" or g_stack is None:
+    if get_contraction_variant() == "axis" or not hasattr(coef, "g_stack"):
         ur, us, ut = tensor_derivatives(u, dx)
         wr = coef.g11 * ur + coef.g12 * us + coef.g13 * ut
         ws = coef.g12 * ur + coef.g22 * us + coef.g23 * ut
         wt = coef.g13 * ur + coef.g23 * us + coef.g33 * ut
-        return local_grad_transpose(wr, ws, wt, dx)
-    # Batched fast path: derivatives land in a stacked buffer and the G
-    # contraction runs as a single fused einsum pass.
-    du = np.empty((3,) + u.shape)
-    tensor_derivatives_stacked(u, dx, du)
-    w = np.einsum("abn,bn->an", g_stack(), du.reshape(3, u.size))
-    wv = w.reshape(du.shape)
-    return local_grad_transpose(wv[0], wv[1], wv[2], dx)
+        return _into(local_grad_transpose(wr, ws, wt, dx), out)
+    w, tmp = _ax_batched(u, coef, dx, None)
+    if out is None:
+        out = np.empty(u.shape)
+    return _local_grad_transpose_into(w[0], w[1], w[2], dx, out, tmp)
 
 
 @contract(u=FIELD, dx=OPERATOR_1D, returns=FIELD)
@@ -108,28 +153,38 @@ def ax_helmholtz(
     dx: np.ndarray,
     h1: float | np.ndarray,
     h2: float | np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Local action of the Helmholtz operator ``h1 * A + h2 * B``.
 
     ``h1`` is the diffusivity, ``h2`` the reaction/mass coefficient (the
     BDF ``b0 / dt`` factor in the time-stepper); both may vary pointwise.
+    ``out`` as in :func:`ax_poisson`.
     """
-    g_stack = getattr(coef, "g_stack", None)
-    if get_contraction_variant() == "axis" or g_stack is None:
+    if get_contraction_variant() == "axis" or not hasattr(coef, "g_stack"):
         ur, us, ut = tensor_derivatives(u, dx)
         wr = h1 * (coef.g11 * ur + coef.g12 * us + coef.g13 * ut)
         ws = h1 * (coef.g12 * ur + coef.g22 * us + coef.g23 * ut)
         wt = h1 * (coef.g13 * ur + coef.g23 * us + coef.g33 * ut)
-        out = local_grad_transpose(wr, ws, wt, dx)
-        out += h2 * coef.mass * u
-        return out
-    du = np.empty((3,) + u.shape)
-    tensor_derivatives_stacked(u, dx, du)
-    w = np.einsum("abn,bn->an", g_stack(), du.reshape(3, u.size))
-    wv = w.reshape(du.shape)
-    wv *= h1  # scalar or pointwise (nelv, lx, lx, lx): broadcasts over rows
-    out = local_grad_transpose(wv[0], wv[1], wv[2], dx)
-    out += h2 * coef.mass * u
+        res = local_grad_transpose(wr, ws, wt, dx)
+        res += h2 * coef.mass * u
+        return _into(res, out)
+    w, tmp = _ax_batched(u, coef, dx, h1)
+    if out is None:
+        out = np.empty(u.shape)
+    _local_grad_transpose_into(w[0], w[1], w[2], dx, out, tmp)
+    # Mass term in the same operation order as ``h2 * mass * u``.
+    np.multiply(h2, coef.mass, out=tmp)
+    tmp *= u
+    out += tmp
+    return out
+
+
+def _into(res: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``res``, copied into ``out`` when the caller gave one."""
+    if out is None:
+        return res
+    out[...] = res
     return out
 
 

@@ -35,11 +35,17 @@ class FunctionSpace:
         self.shape = (self.nelv, lx, lx, lx)
         self.n_dofs_local = int(np.prod(self.shape))
         self.coef = Coefficients.build(self.x, self.y, self.z, np.asarray(self.weights), np.asarray(self.dx))
+        # Scratch buffers of the hot-path kernels on this space, shared by
+        # the operators (through ``coef``), gather--scatter, dealiasing and
+        # the smoothers; see repro.sem.workspace for the lifetime rules.
+        self.workspace = self.coef.workspace
 
         coords = np.stack(
             [self.x.reshape(-1), self.y.reshape(-1), self.z.reshape(-1)], axis=1
         )
-        self.gs = GatherScatter(coords, self.shape, periodic_image=mesh.periodic_image)
+        self.gs = GatherScatter(
+            coords, self.shape, periodic_image=mesh.periodic_image, workspace=self.workspace
+        )
         self.n_dofs = self.gs.n_global
 
         # Assembled diagonal mass and its inverse: dssum(B) is the true

@@ -101,6 +101,11 @@ class ConjugateGradient:
             mon.start(rnorm)
 
         p = z.copy()
+        # One scratch vector per solve for the axpys: ``np.multiply(p,
+        # alpha, out=tmp); x += tmp`` is bitwise ``x += alpha * p`` without
+        # a temporary per iteration.  ``ap`` may be the operator's own
+        # buffer (valid until its next call); it is consumed here.
+        tmp = np.empty_like(p)
         niter = self.fixed_iterations if self.fixed_iterations is not None else self.maxiter
         for _ in range(niter):
             ap = self.amul(p)
@@ -110,8 +115,10 @@ class ConjugateGradient:
                 # the best iterate so far rather than diverging silently.
                 break
             alpha = rho / pap
-            x += alpha * p
-            r -= alpha * ap
+            np.multiply(p, alpha, out=tmp)
+            x += tmp
+            np.multiply(ap, alpha, out=tmp)
+            r -= tmp
             if self.fixed_iterations is None:
                 rnorm = float(np.sqrt(max(self.dot(r, r), 0.0)))
                 if mon.step(rnorm):

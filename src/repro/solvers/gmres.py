@@ -25,6 +25,10 @@ Operator = Callable[[FloatArray], FloatArray]
 Dot = Callable[[FloatArray, FloatArray], float]
 
 
+#: Rows per block of the stored preconditioned directions.
+_ZCHUNK = 8
+
+
 def _copy(r: FloatArray) -> FloatArray:
     """Unpreconditioned default: ``M^{-1} = I`` (fresh copy, callers mutate)."""
     return r.copy()
@@ -127,10 +131,15 @@ class Gmres:
         wf = weight.reshape(-1) if weight is not None else None
         shape = b.shape
         total_iters = 0
-        # Workspace for the weighted fast path, hoisted out of the restart
-        # loop: one (restart+1, n) basis matrix and one weighting vector,
-        # reused across restart cycles (only the first m+1 rows of a cycle
-        # are touched).
+        # Workspace hoisted out of the restart loop and reused across
+        # restart cycles: the preconditioned directions as rows of
+        # ``_ZCHUNK``-row blocks allocated as a cycle reaches them (a few
+        # large allocations per solve instead of one field-sized array per
+        # iteration held to the end of the cycle), a projection/axpy vector
+        # and, for the weighted fast path, the (restart+1, n) basis matrix
+        # and a weighting vector.
+        zblocks: list[FloatArray] = []
+        proj = np.empty(b.size)
         vmat_ws: FloatArray | None = None
         ww: FloatArray | None = None
         if weight is not None and wf is not None:
@@ -160,14 +169,16 @@ class Gmres:
             g: list[float] = [beta] + [0.0] * m
             cs: list[float] = [0.0] * m
             sn: list[float] = [0.0] * m
-            z_dirs: list[FloatArray] = []
             k_done = 0
 
             for k in range(m):
                 vk = vmat[k].reshape(shape) if vmat is not None else v[k]
                 z = self.precond(vk)
                 self.project_out(z)
-                z_dirs.append(z)
+                if k // _ZCHUNK == len(zblocks):
+                    # statcheck: ignore[hot-loop-allocation] -- one block per _ZCHUNK iterations, kept for the solve
+                    zblocks.append(np.empty((_ZCHUNK, b.size)))
+                zblocks[k // _ZCHUNK][k % _ZCHUNK] = z.reshape(-1)
                 w = self.amul(z)
                 self.project_out(w)
                 if vmat is not None and ww is not None:
@@ -180,13 +191,13 @@ class Gmres:
                     wflat = np.ascontiguousarray(w.reshape(-1))
                     np.multiply(wflat, wf, out=ww)
                     hcol = vmat[: k + 1] @ ww
-                    wflat -= hcol @ vmat[: k + 1]
+                    wflat -= np.matmul(hcol, vmat[: k + 1], out=proj)
                     hc = hcol.tolist()
                     np.multiply(wflat, wf, out=ww)
                     h2 = float(max(np.dot(ww, wflat), 0.0))
                     if 2.0 * h2 < h2 + float(np.dot(hcol, hcol)):
                         corr = vmat[: k + 1] @ ww
-                        wflat -= corr @ vmat[: k + 1]
+                        wflat -= np.matmul(corr, vmat[: k + 1], out=proj)
                         for i, ci in enumerate(corr.tolist()):
                             hc[i] += ci
                         np.multiply(wflat, wf, out=ww)
@@ -243,8 +254,10 @@ class Gmres:
                 for j in range(i + 1, k_done):
                     s -= hcols[j][i] * y[j]
                 y[i] = s / hcols[i][i]
+            xflat = x.reshape(-1)
             for i in range(k_done):
-                x += y[i] * z_dirs[i]
+                np.multiply(zblocks[i // _ZCHUNK][i % _ZCHUNK], y[i], out=proj)
+                xflat += proj
             self.project_out(x)
 
             r = b - self.amul(x)

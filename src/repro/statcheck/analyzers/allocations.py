@@ -1,16 +1,18 @@
 """hot-loop-allocation: per-iteration array allocations on hot paths.
 
-ROADMAP item 1's remaining headroom in the dealiased convection kernel --
-and a good slice of the pressure-solve budget -- is allocator traffic:
-``np.zeros``/``.copy()``/``.astype()`` and whole-array binary-op
-temporaries created fresh on every iteration of an inner loop.  The fix
-is always the same (hoist a scratch buffer, update in place), and the
-in-place forms of the solver recurrences are bit-identical under IEEE
-arithmetic, so the rewrites are safe even for golden-trajectory-tested
+Allocator traffic -- ``np.zeros``/``.copy()``/``.astype()`` and
+whole-array binary-op temporaries created fresh on every iteration of an
+inner loop -- was once half the cost of the matrix-free ``Ax`` kernel and
+most of a time step's minor page faults.  The fix is always the same
+(hoist a scratch buffer -- for the SEM kernels, a named buffer of the
+space's :class:`~repro.sem.workspace.Workspace` -- and update in place),
+and the in-place forms of the solver recurrences are bit-identical under
+IEEE arithmetic, so the rewrites are safe even for golden-trajectory-tested
 code.
 
 Hot scope: ``repro.precond.*``, ``repro.solvers.*``, ``repro.sem.operators``,
-``repro.sem.coef`` and ``repro.comm.distributed_solver``.  Setup-time
+``repro.sem.coef``, ``repro.sem.dealias``, ``repro.sem.gather_scatter``,
+``repro.comm.distributed_solver`` and ``repro.comm.batched``.  Setup-time
 functions (``__init__``, ``build_*``/``_build_*``, ``setup*``) are exempt:
 construction cost is paid once and hoisting there hurts readability for
 nothing.
@@ -45,6 +47,11 @@ __all__ = ["HotLoopAllocationAnalyzer"]
 HOT_MODULES = {
     "repro.sem.operators",
     "repro.sem.coef",
+    # Dealiased convection and gather--scatter run every step (dssum and
+    # the weighted dot once per Krylov iteration); their scratch lives in
+    # the space's Workspace, so fresh arrays in their loops are regressions.
+    "repro.sem.dealias",
+    "repro.sem.gather_scatter",
     "repro.comm.distributed_solver",
     # The batched exchange path runs once per simulated collective round at
     # O(10^4) ranks; its fill loops must stay allocator-free.
@@ -145,7 +152,8 @@ class HotLoopAllocationAnalyzer(Analyzer):
     severity = Severity.WARNING
     description = (
         "fresh array allocations inside loops of hot paths (precond/solvers/"
-        "sem.operators/sem.coef): hoist scratch buffers, update recurrences in place"
+        "sem.operators/sem.coef/sem.dealias/sem.gather_scatter): hoist scratch "
+        "buffers, update recurrences in place"
     )
 
     def check(self, project: "Project") -> Iterator[Finding]:

@@ -113,6 +113,49 @@ class TestBatchedExchangeScope:
         assert not any(line >= 29 for line in lines)  # BatchedState.__init__
 
 
+class TestSemHotModules:
+    """repro.sem.dealias and repro.sem.gather_scatter are hot modules."""
+
+    FIXTURE = Path(__file__).parent / "fixtures_analyzers/src/repro/sem/dealias.py"
+
+    def _findings(self):
+        project = Project.load([self.FIXTURE], root=self.FIXTURE.parents[3])
+        return sorted(
+            HotLoopAllocationAnalyzer().check(project), key=lambda f: f.line
+        )
+
+    def test_workspace_idiom_is_silent(self):
+        lines = [f.line for f in self._findings()]
+        assert not any(14 <= line <= 20 for line in lines)  # workspace_blocks_are_clean
+
+    def test_fresh_block_is_flagged(self):
+        by_line = {f.line: f for f in self._findings()}
+        assert [*by_line] == [26]
+        assert "'<expr>.copy'" in by_line[26].message
+        assert by_line[26].severity == Severity.WARNING
+
+    def test_setup_buffers_are_exempt(self):
+        lines = [f.line for f in self._findings()]
+        assert not any(line >= 32 for line in lines)  # Dealiaser.__init__
+
+    def test_gather_scatter_is_in_scope(self, tmp_path):
+        mod = tmp_path / "src" / "repro" / "sem" / "gather_scatter.py"
+        mod.parent.mkdir(parents=True)
+        mod.write_text(
+            "import numpy as np\n"
+            "\n"
+            "def dot_all(u, vs, w):\n"
+            "    out = []\n"
+            "    for v in vs:\n"
+            "        out.append(np.dot((u * w).reshape(-1), v.copy().reshape(-1)))\n"
+            "    return out\n"
+        )
+        project = Project.load([tmp_path / "src"], root=tmp_path)
+        findings = list(HotLoopAllocationAnalyzer().check(project))
+        assert [(f.line, f.severity) for f in findings] == [(6, Severity.WARNING)]
+        assert "'v.copy'" in findings[0].message
+
+
 class TestScope:
     def test_cold_packages_are_ignored(self, tmp_path):
         mod = tmp_path / "src" / "repro" / "observability" / "alloc.py"
