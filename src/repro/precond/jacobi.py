@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.precond.cache import CacheKey, OperatorCache, mask_fingerprint, resolve_cache
 from repro.sem.space import FunctionSpace
+from repro.sem.workspace import Workspace
 
 __all__ = ["helmholtz_diagonal", "JacobiPrecond"]
 
@@ -80,6 +81,8 @@ class JacobiPrecond:
         self.mask = mask
         self._cache = cache
         self._inv_diag: np.ndarray | None = None
+        # Result buffer of __call__; copies and pickles start without it.
+        self._workspace = Workspace()
         self.update(h1, h2)
 
     def _build_inv_diag(self, h1: float | np.ndarray, h2: float | np.ndarray) -> np.ndarray:
@@ -105,8 +108,15 @@ class JacobiPrecond:
             self._inv_diag = self._build_inv_diag(h1, h2)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        """Apply ``z = diag(A)^{-1} r`` (masked dofs passed through zeroed)."""
-        z = r * self._inv_diag
+        """Apply ``z = diag(A)^{-1} r`` (masked dofs passed through zeroed).
+
+        ``z`` is the preconditioner's own buffer, valid until its next
+        call: the Krylov solvers consume it before preconditioning again
+        (CG copies the first one into its direction, GMRES copies each
+        into its stored directions).
+        """
+        z = self._workspace.get("z", r.shape)
+        np.multiply(r, self._inv_diag, out=z)
         if self.mask is not None:
             z *= self.mask
         return z

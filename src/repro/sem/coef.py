@@ -10,10 +10,20 @@ six symmetric stiffness factors
 which are what the matrix-free Laplacian kernel contracts against.  These
 arrays are exactly the ``drdx``/``jac``/``B``/``G`` fields a spectral-element
 code keeps resident on the device for the whole run.
+
+On undeformed meshes most cross terms are structurally zero: on a box every
+off-diagonal ``dx_i/dr_j`` is rounding error, and on the z-extruded
+cylinder ``dx/dt``, ``dy/dt``, ``dz/dr`` and ``dz/ds`` are.
+:meth:`Coefficients.build` detects those entries once per mesh, makes them
+(and so every inverse metric and ``G_ab`` built from them alone) exactly
+zero, and records the surviving terms in :class:`LiveTerms`.  The metric
+contractions read that record and skip the dead terms, the analogue of
+Nek5000 adding ``G12``/``G13``/``G23`` only for deformed elements.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +32,10 @@ from repro.sem.workspace import Workspace
 
 __all__ = [
     "Coefficients",
+    "LiveTerms",
+    "ALL_LIVE",
+    "STRUCTURAL_ZERO_RTOL",
+    "sum_of_products",
     "tensor_derivatives",
     "CONTRACTION_VARIANTS",
     "set_contraction_variant",
@@ -109,6 +123,97 @@ def tensor_derivatives(u: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.nd
     return _tensor_derivatives_batched(u, dx)
 
 
+#: Threshold of the structural-zero test in :meth:`Coefficients.build`,
+#: relative to ``||D||_inf * max|x_i|`` on the element.  Differentiating a
+#: coordinate ``x_i`` that does not vary along ``r_j`` gives pure rounding
+#: error, bounded by a few ulps of that scale: measured at most 2.8e-16 on
+#: box, graded-box (also far from the origin) and z-extruded cylinder
+#: meshes at lx 2-12.  The corner deformation of ``deformed_box_space``
+#: at amplitude 1e-6 reads at least 8.5e-10.  1e-12 is more than two
+#: decades from both.
+STRUCTURAL_ZERO_RTOL = 1e-12
+
+_AXES = (0, 1, 2)
+_DENSE = ((True, True, True),) * 3
+
+Pattern = tuple[tuple[bool, ...], ...]
+
+
+@dataclass(frozen=True)
+class LiveTerms:
+    """Which metric terms of a mesh are live (not structurally zero).
+
+    ``jac[i][j]`` is for ``dx_i/dr_j``, ``inv[a][k]`` for ``dr_a/dx_k`` and
+    ``g[a][b]`` for ``G_ab``.  A dead term is exactly 0.0 at every node, so
+    a contraction that skips it equals one that adds it.  The default (all
+    live) is what a :class:`Coefficients` not made by
+    :meth:`Coefficients.build` carries.
+    """
+
+    jac: Pattern = _DENSE
+    inv: Pattern = _DENSE
+    g: Pattern = _DENSE
+
+    @property
+    def dense_g(self) -> bool:
+        """All nine ``G_ab`` live: a fully deformed mesh."""
+        return all(all(row) for row in self.g)
+
+
+ALL_LIVE = LiveTerms()
+
+
+def sum_of_products(
+    out: np.ndarray,
+    terms: Sequence[tuple[np.ndarray, np.ndarray]],
+    tmp: np.ndarray | None = None,
+) -> np.ndarray:
+    """``out = a0*b0 + a1*b1 + a2*b2`` over one to three ``(a, b)`` pairs.
+
+    Each product is one in-place ufunc pass and the sum runs left to
+    right, so called with the live terms of a metric contraction (in the
+    full expression's order) it gives the full expression's result: the
+    skipped products are exact zeros.  ``tmp`` is scratch shaped like
+    ``out``, needed only for more than one term.
+    """
+    (a, b), *rest = terms
+    np.multiply(a, b, out=out)
+    if rest:
+        np.multiply(*rest[0], out=tmp)
+        out += tmp
+    if len(rest) > 1:
+        np.multiply(*rest[1], out=tmp)
+        out += tmp
+    return out
+
+
+def _live_jacobian(
+    jac: Sequence[Sequence[np.ndarray]], coords: Sequence[np.ndarray], dx: np.ndarray
+) -> Pattern:
+    """Classify each ``dx_i/dr_j``: live if above rounding error anywhere.
+
+    The entry is dead when on every element ``max|dx_i/dr_j|`` is at most
+    :data:`STRUCTURAL_ZERO_RTOL` times ``||D||_inf * max|x_i|``, the size
+    of the rounding error of differentiating a ``x_i`` constant along
+    ``r_j``.
+    """
+    nelv = coords[0].shape[0]
+
+    def peak(a: np.ndarray) -> np.ndarray:
+        return np.abs(a).reshape(nelv, -1).max(axis=1)
+
+    dnorm = float(np.abs(dx).sum(axis=1).max())
+    scale = dnorm * np.array([peak(c) for c in coords])                # (3, nelv)
+    size = np.array([[peak(entry) for entry in row] for row in jac])  # (3, 3, nelv)
+    live = np.any(size > STRUCTURAL_ZERO_RTOL * scale[:, None, :], axis=2)
+    return tuple(tuple(row) for row in live.tolist())
+
+
+def _nonzero(rows: Sequence[Sequence[np.ndarray]]) -> Pattern:
+    """Which arrays of a 3x3 layout have a nonzero entry."""
+    return tuple(tuple(bool(np.any(a)) for a in row) for row in rows)
+
+
 @dataclass
 class Coefficients:
     """Metric terms of a mesh sampled on the GLL grid of a function space.
@@ -145,34 +250,45 @@ class Coefficients:
     g13: np.ndarray
     g23: np.ndarray
     volume: float
+    # Which of the terms above are structurally zero (see LiveTerms); the
+    # metric contractions skip the dead ones.
+    live: LiveTerms = ALL_LIVE
     # Lazily built stacked view of the symmetric G tensor (see g_stack()).
     _g_stack: np.ndarray | None = None
     # Scratch buffers of the kernels that contract against these factors
     # (see repro.sem.workspace); FunctionSpace exposes it as ``workspace``.
     workspace: Workspace = field(default_factory=Workspace, repr=False, compare=False)
 
+    def inverse_metrics(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """``dr_a/dx_k`` indexed ``[a][k]``, the layout of ``live.inv``."""
+        return (
+            (self.drdx, self.drdy, self.drdz),
+            (self.dsdx, self.dsdy, self.dsdz),
+            (self.dtdx, self.dtdy, self.dtdz),
+        )
+
+    def g_matrix(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The symmetric ``G_ab`` indexed ``[a][b]``, the layout of ``live.g``."""
+        return (
+            (self.g11, self.g12, self.g13),
+            (self.g12, self.g22, self.g23),
+            (self.g13, self.g23, self.g33),
+        )
+
     def g_stack(self) -> np.ndarray:
         """Symmetric geometric factors as one ``(3, 3, npts)`` array.
 
-        Feeds the fused ``einsum("abn,bn->an", ...)`` contraction in
-        ``ax_poisson``/``ax_helmholtz``: one C pass over nine components
-        instead of fifteen separate multiply/add sweeps.  Built on first
-        use and reused for the lifetime of the coefficients (the G tensor
-        is immutable after construction).
+        Feeds the fused ``einsum("abn,bn->an", ...)`` contraction that
+        ``ax_poisson``/``ax_helmholtz`` run on fully deformed meshes
+        (``live.dense_g``): one C pass over nine components instead of
+        fifteen separate multiply/add sweeps.  Built on first use and
+        reused for the lifetime of the coefficients (the G tensor is
+        immutable after construction).
         """
         if self._g_stack is None:
-            n = self.g11.size
-            g = np.empty((3, 3, n))
-            g[0, 0] = self.g11.reshape(-1)
-            g[0, 1] = self.g12.reshape(-1)
-            g[0, 2] = self.g13.reshape(-1)
-            g[1, 0] = self.g12.reshape(-1)
-            g[1, 1] = self.g22.reshape(-1)
-            g[1, 2] = self.g23.reshape(-1)
-            g[2, 0] = self.g13.reshape(-1)
-            g[2, 1] = self.g23.reshape(-1)
-            g[2, 2] = self.g33.reshape(-1)
-            self._g_stack = g
+            self._g_stack = np.array(
+                [[gab.reshape(-1) for gab in row] for row in self.g_matrix()]
+            )
         return self._g_stack
 
     @classmethod
@@ -198,6 +314,15 @@ class Coefficients:
         dxdr, dxds, dxdt = tensor_derivatives(x, dx)
         dydr, dyds, dydt = tensor_derivatives(y, dx)
         dzdr, dzds, dzdt = tensor_derivatives(z, dx)
+        # Structural zeros: entries that are rounding error on every element
+        # become exactly 0.0, so the formulas below make every inverse
+        # metric and G_ab that depends only on them exactly 0.0 too.
+        jac_rows = ((dxdr, dxds, dxdt), (dydr, dyds, dydt), (dzdr, dzds, dzdt))
+        live_jac = _live_jacobian(jac_rows, (x, y, z), dx)
+        for i in _AXES:
+            for j in _AXES:
+                if not live_jac[i][j]:
+                    jac_rows[i][j].fill(0.0)
 
         jac = (
             dxdr * (dyds * dzdt - dydt * dzds)
@@ -232,6 +357,13 @@ class Coefficients:
         g12 = wj * (drdx * dsdx + drdy * dsdy + drdz * dsdz)
         g13 = wj * (drdx * dtdx + drdy * dtdy + drdz * dtdz)
         g23 = wj * (dsdx * dtdx + dsdy * dtdy + dsdz * dtdz)
+        # Live inverse metrics and G_ab: those not exactly zero, which is
+        # the property the contractions that skip the dead ones rely on.
+        live = LiveTerms(
+            jac=live_jac,
+            inv=_nonzero(((drdx, drdy, drdz), (dsdx, dsdy, dsdz), (dtdx, dtdy, dtdz))),
+            g=_nonzero(((g11, g12, g13), (g12, g22, g23), (g13, g23, g33))),
+        )
 
         return cls(
             dxdr=dxdr, dxds=dxds, dxdt=dxdt,
@@ -243,4 +375,5 @@ class Coefficients:
             jac=jac, mass=mass,
             g11=g11, g22=g22, g33=g33, g12=g12, g13=g13, g23=g23,
             volume=float(np.sum(mass)),
+            live=live,
         )

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sem.basis import lagrange_interpolation_matrix
-from repro.sem.coef import tensor_derivatives_stacked
+from repro.sem.coef import sum_of_products, tensor_derivatives_stacked
 from repro.sem.quadrature import gll_points_weights
 from repro.sem.space import FunctionSpace
 from repro.sem.workspace import Workspace
@@ -98,23 +98,16 @@ class Dealiaser:
         self._fine_shape = (space.nelv,) + (self.lxd,) * 3
 
         coef = space.coef
-        # Fine-grid inverse-map metrics and integration weights.  The
-        # interpolation of the coarse-grid metrics is exact for affine
-        # elements and spectrally accurate for the blended cylinder maps.
-        self.drdx_d = interp3(coef.drdx, self.interp)
-        self.drdy_d = interp3(coef.drdy, self.interp)
-        self.drdz_d = interp3(coef.drdz, self.interp)
-        self.dsdx_d = interp3(coef.dsdx, self.interp)
-        self.dsdy_d = interp3(coef.dsdy, self.interp)
-        self.dsdz_d = interp3(coef.dsdz, self.interp)
-        self.dtdx_d = interp3(coef.dtdx, self.interp)
-        self.dtdy_d = interp3(coef.dtdy, self.interp)
-        self.dtdz_d = interp3(coef.dtdz, self.interp)
-        # (d r/dx_k, d s/dx_k, d t/dx_k) for k = x, y, z.
-        self._metrics = (
-            (self.drdx_d, self.dsdx_d, self.dtdx_d),
-            (self.drdy_d, self.dsdy_d, self.dtdy_d),
-            (self.drdz_d, self.dsdz_d, self.dtdz_d),
+        # Fine-grid inverse-map metrics: for each physical direction k the
+        # live (coef.live.inv) pairs (a, dr_a/dx_k on the fine grid); the
+        # structurally zero ones would interpolate to all-zero arrays and
+        # are not kept.  The interpolation of the coarse-grid metrics is
+        # exact for affine elements and spectrally accurate for the blended
+        # cylinder maps.
+        inv, live = coef.inverse_metrics(), coef.live.inv
+        self._metrics = tuple(
+            tuple((a, interp3(inv[a][k], self.interp)) for a in range(3) if live[a][k])
+            for k in range(3)
         )
         jac_d = interp3(coef.jac, self.interp)
         w = np.asarray(fine_w)
@@ -154,14 +147,11 @@ class Dealiaser:
     def _physical(
         self, ud: np.ndarray, k: int, blk: slice, out: np.ndarray, tmp: np.ndarray
     ) -> np.ndarray:
-        """``du/dx_k`` of block ``blk`` on the fine grid into ``out``."""
-        dr, ds, dt = self._metrics[k]
-        np.multiply(ud[0], dr[blk], out=out)
-        np.multiply(ud[1], ds[blk], out=tmp)
-        out += tmp
-        np.multiply(ud[2], dt[blk], out=tmp)
-        out += tmp
-        return out
+        """``du/dx_k`` of block ``blk`` on the fine grid into ``out``.
+
+        Sums ``ud[a] * dr_a/dx_k`` over the live metrics only.
+        """
+        return sum_of_products(out, [(ud[a], m[blk]) for a, m in self._metrics[k]], tmp)
 
     def grad_fine(
         self, u: np.ndarray
@@ -196,7 +186,8 @@ class Dealiaser:
         Every fine-grid intermediate is a block-sized workspace buffer; the
         operation order is that of ``cx*dudx + cy*dudy + cz*dudz`` with
         ``dudx = ur*drdx + us*dsdx + ut*dtdx``, so results are bitwise
-        those of the whole-field array-expression form.
+        those of the whole-field array-expression form (the structurally
+        zero metric terms it skips are exact zeros).
         """
         if c_fine is None:
             c_fine = (self.to_fine(cx), self.to_fine(cy), self.to_fine(cz))

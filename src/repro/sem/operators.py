@@ -16,6 +16,7 @@ import numpy as np
 from repro.sem.coef import (
     Coefficients,
     get_contraction_variant,
+    sum_of_products,
     tensor_derivatives,
     tensor_derivatives_stacked,
 )
@@ -85,12 +86,31 @@ def _local_grad_transpose_into(
 def physical_grad(
     u: np.ndarray, coef: Coefficients, dx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pointwise physical gradient ``(du/dx, du/dy, du/dz)``."""
-    ur, us, ut = tensor_derivatives(u, dx)
-    dudx = ur * coef.drdx + us * coef.dsdx + ut * coef.dtdx
-    dudy = ur * coef.drdy + us * coef.dsdy + ut * coef.dtdy
-    dudz = ur * coef.drdz + us * coef.dsdz + ut * coef.dtdz
-    return dudx, dudy, dudz
+    """Pointwise physical gradient ``(du/dx, du/dy, du/dz)``.
+
+    ``du/dx_k = sum_a du/dr_a * dr_a/dx_k`` over the live inverse metrics
+    (``coef.live.inv``): one product per point on a box mesh.
+    """
+    ref = tensor_derivatives(u, dx)
+    inv, live = coef.inverse_metrics(), coef.live.inv
+    grad = np.empty((3,) + u.shape)
+    tmp = np.empty(u.shape)
+    for k in range(3):
+        sum_of_products(grad[k], [(ref[a], inv[a][k]) for a in range(3) if live[a][k]], tmp)
+    return grad[0], grad[1], grad[2]
+
+
+def _contract_live_g(coef: Coefficients, du: np.ndarray, w: np.ndarray) -> None:
+    """``w_a = sum_b G_ab du_b`` over the live ``G_ab`` (``coef.live.g``).
+
+    In-place ufunc passes in the order of the fused einsum (``b = r, s,
+    t``), so the result equals the einsum's on the same coefficients: the
+    skipped terms are exact zeros.  A box mesh needs three multiplies.
+    """
+    g, live = coef.g_matrix(), coef.live.g
+    tmp = coef.workspace.get("ax.tmp", du.shape[1:]) if any(sum(row) > 1 for row in live) else None
+    for a in range(3):
+        sum_of_products(w[a], [(g[a][b], du[b]) for b in range(3) if live[a][b]], tmp)
 
 
 def _ax_batched(
@@ -104,12 +124,15 @@ def _ax_batched(
     ``Ax`` call on the space.
     """
     ws = coef.workspace
-    # Derivatives land in a stacked buffer and the G contraction runs as
-    # a single fused einsum pass into a second one.
     du = ws.get("du", (3,) + u.shape)
     tensor_derivatives_stacked(u, dx, du)
     w = ws.get("w", du.shape)
-    np.einsum("abn,bn->an", coef.g_stack(), du.reshape(3, u.size), out=w.reshape(3, u.size))
+    if coef.live.dense_g:
+        # Fully deformed mesh: all nine terms in one fused einsum pass
+        # (faster than nine ufunc passes).
+        np.einsum("abn,bn->an", coef.g_stack(), du.reshape(3, u.size), out=w.reshape(3, u.size))
+    else:
+        _contract_live_g(coef, du, w)
     if h1 is not None:
         w *= h1  # scalar or pointwise (nelv, lx, lx, lx): broadcasts over rows
     # du is dead after the contraction; its first row is the scratch field.
@@ -232,11 +255,15 @@ def weak_gradient_transpose(
     the pressure right-hand side builds the boundary condition into the
     discretization instead of differentiating across the wall.
     """
-    b = coef.mass
-    wr = b * (coef.drdx * vx + coef.drdy * vy + coef.drdz * vz)
-    ws = b * (coef.dsdx * vx + coef.dsdy * vy + coef.dsdz * vz)
-    wt = b * (coef.dtdx * vx + coef.dtdy * vy + coef.dtdz * vz)
-    return local_grad_transpose(wr, ws, wt, dx)
+    v = (vx, vy, vz)
+    inv, live = coef.inverse_metrics(), coef.live.inv
+    w = np.empty((3,) + vx.shape)
+    tmp = np.empty(vx.shape)
+    for a in range(3):
+        # B * (dr_a/dx . v) over the live inverse metrics.
+        sum_of_products(w[a], [(inv[a][k], v[k]) for k in range(3) if live[a][k]], tmp)
+    w *= coef.mass
+    return local_grad_transpose(w[0], w[1], w[2], dx)
 
 
 def curl(

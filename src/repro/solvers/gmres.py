@@ -16,6 +16,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.observability.tracer import NULL_TRACER, TracerProtocol
+from repro.sem.workspace import Workspace
 from repro.solvers.monitor import SolverMonitor
 
 __all__ = ["Gmres"]
@@ -23,10 +24,6 @@ __all__ = ["Gmres"]
 FloatArray = npt.NDArray[np.float64]
 Operator = Callable[[FloatArray], FloatArray]
 Dot = Callable[[FloatArray, FloatArray], float]
-
-
-#: Rows per block of the stored preconditioned directions.
-_ZCHUNK = 8
 
 
 def _copy(r: FloatArray) -> FloatArray:
@@ -93,6 +90,9 @@ class Gmres:
         )
         self.name = name
         self.tracer: TracerProtocol = tracer if tracer is not None else NULL_TRACER
+        # Krylov storage kept across solves (see _solve); copies and
+        # pickles of the solver start without it.
+        self._workspace = Workspace()
 
     def _norm(self, u: FloatArray) -> float:
         if self.dot_weight is not None:
@@ -131,20 +131,19 @@ class Gmres:
         wf = weight.reshape(-1) if weight is not None else None
         shape = b.shape
         total_iters = 0
-        # Workspace hoisted out of the restart loop and reused across
-        # restart cycles: the preconditioned directions as rows of
-        # ``_ZCHUNK``-row blocks allocated as a cycle reaches them (a few
-        # large allocations per solve instead of one field-sized array per
-        # iteration held to the end of the cycle), a projection/axpy vector
-        # and, for the weighted fast path, the (restart+1, n) basis matrix
-        # and a weighting vector.
-        zblocks: list[FloatArray] = []
-        proj = np.empty(b.size)
+        # Storage kept on the solver across solves and restart cycles: the
+        # preconditioned directions as rows of a (restart, n) matrix, a
+        # projection/axpy vector and, for the weighted fast path, the
+        # (restart+1, n) basis matrix and a weighting vector.  A solve
+        # touches only the rows it reaches, and later solves allocate none.
+        ws, n = self._workspace, b.size
+        zmat = ws.get("directions", (self.restart, n))
+        proj = ws.get("proj", (n,))
         vmat_ws: FloatArray | None = None
         ww: FloatArray | None = None
         if weight is not None and wf is not None:
-            vmat_ws = np.empty((self.restart + 1, b.size))
-            ww = np.empty(b.size)
+            vmat_ws = ws.get("basis", (self.restart + 1, n))
+            ww = ws.get("ww", (n,))
         while total_iters < self.maxiter:
             m = min(self.restart, self.maxiter - total_iters)
             # Arnoldi basis and Hessenberg matrix.  The weighted fast path
@@ -175,10 +174,7 @@ class Gmres:
                 vk = vmat[k].reshape(shape) if vmat is not None else v[k]
                 z = self.precond(vk)
                 self.project_out(z)
-                if k // _ZCHUNK == len(zblocks):
-                    # statcheck: ignore[hot-loop-allocation] -- one block per _ZCHUNK iterations, kept for the solve
-                    zblocks.append(np.empty((_ZCHUNK, b.size)))
-                zblocks[k // _ZCHUNK][k % _ZCHUNK] = z.reshape(-1)
+                zmat[k] = z.reshape(-1)
                 w = self.amul(z)
                 self.project_out(w)
                 if vmat is not None and ww is not None:
@@ -256,7 +252,7 @@ class Gmres:
                 y[i] = s / hcols[i][i]
             xflat = x.reshape(-1)
             for i in range(k_done):
-                np.multiply(zblocks[i // _ZCHUNK][i % _ZCHUNK], y[i], out=proj)
+                np.multiply(zmat[i], y[i], out=proj)
                 xflat += proj
             self.project_out(x)
 

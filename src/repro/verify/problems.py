@@ -76,16 +76,18 @@ def unit_box_space(n: int, lx: int) -> FunctionSpace:
 
 
 def deformed_box_space(
-    n: int, lx: int, amplitude: float = 0.05, seed: int = 3
+    n: int | tuple[int, int, int], lx: int, amplitude: float = 0.05, seed: int = 3
 ) -> FunctionSpace:
     """Unit box with seeded random trigonometric corner perturbation.
+
+    ``n`` is the element count per direction, or an ``(nx, ny, nz)`` tuple.
 
     Every corner moves by ``amplitude * sin(pi x + phi) * sin(pi y + phi)
     * sin(pi z + phi)`` per direction with seeded random phases, producing
     genuinely non-affine (trilinear) elements with full cross-metric terms.
     The Jacobian is asserted positive so the deformation never folds.
     """
-    mesh = box_mesh((n, n, n))
+    mesh = box_mesh((n, n, n) if isinstance(n, int) else n)
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2 * np.pi, size=(3, 3))
     cc = mesh.corner_coords

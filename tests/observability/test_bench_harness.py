@@ -198,6 +198,7 @@ class TestHarness:
         results = kernel_benchmarks(repeats=1, mesh=(2, 2, 2), lx=4)
         assert set(results) == {
             "ax_helmholtz",
+            "ax_helmholtz_deformed",
             "gather_scatter",
             "dealias_convect",
             "fdm_solve",
